@@ -1,6 +1,6 @@
 // Command dohlint is dohpool's project-specific static-analysis tool:
-// the seven internal/lint analyzers (noalloc, metricsname, configalias,
-// buildtag, lockcheck, atomiccheck, golifecycle) plus the
+// the six internal/lint analyzers (noalloc, metricsname, buildtag,
+// lockcheck, atomiccheck, golifecycle) plus the
 // escape-analysis allocation gate.
 //
 // Three modes:

@@ -41,9 +41,8 @@
 //	-timeout            per-resolver query timeout
 //	-cache-size         consensus cache capacity (-1 disables caching)
 //	-cache-shards       cache lock shards (0 = sized from GOMAXPROCS)
-//	-max-stale          serve expired pools this long while refreshing
 //	-stale-while-revalidate
-//	                    canonical name for -max-stale
+//	                    serve expired pools this long while refreshing
 //	-refresh-ahead      regenerate cached pools in the background at this
 //	                    fraction of TTL (e.g. 0.8; 0 = miss-driven only)
 //	-refresh-min-hits   popularity threshold for refresh-ahead

@@ -24,8 +24,8 @@ func TestRunRejectsUnknownFlags(t *testing.T) {
 
 func TestRunRejectsBadEngineFlagValues(t *testing.T) {
 	// Non-duration value for a duration flag must fail at parse time.
-	if err := run([]string{"-resolver", "https://r.test/dns-query", "-max-stale", "bogus"}); err == nil {
-		t.Fatal("bad -max-stale accepted")
+	if err := run([]string{"-resolver", "https://r.test/dns-query", "-stale-while-revalidate", "bogus"}); err == nil {
+		t.Fatal("bad -stale-while-revalidate accepted")
 	}
 	if err := run([]string{"-resolver", "https://r.test/dns-query", "-hedge-delay", "nope"}); err == nil {
 		t.Fatal("bad -hedge-delay accepted")

@@ -40,12 +40,10 @@
 // upstream answer TTL expires, concurrent lookups for the same domain
 // coalesce into one Algorithm 1 run, straggling resolvers are hedged
 // with a backup attempt, and persistently failing resolvers trip a
-// circuit breaker. With RefreshAhead set, a background pipeline
+// circuit breaker. With Refresh.Ahead set, a background pipeline
 // regenerates popular pools before they expire, so hot domains are
-// always warm and never pay an inline fan-out after warmup. The
-// CacheSize, CacheShards, StaleWhileRevalidate, RefreshAhead,
-// RefreshMinHits, HedgeDelay and Breaker* knobs in Config tune these
-// layers.
+// always warm and never pay an inline fan-out after warmup. The Cache,
+// Refresh and Health groups in Config tune these layers.
 //
 // For legacy applications, Serve starts a standard-compatible plain-DNS
 // front-end (UDP and TCP, RFC 7766) whose every answer is generated by
@@ -132,13 +130,9 @@ type Config struct {
 	// client shared across resolvers.
 	HTTPClient *http.Client
 
-	// Grouped configuration, one sub-struct per concern. The flat
-	// fields below are deprecated aliases kept so existing callers
-	// compile and behave identically. Precedence: the grouped field
-	// wins when set (any non-zero value — negative sentinels count as
-	// set); booleans merge with OR, since a bool cannot distinguish
-	// "explicitly false" from "unset". See each sub-struct's docs in
-	// config.go for the field-level semantics.
+	// Engine and serving knobs, one sub-struct per concern; config.go
+	// documents each field. The zero value of every group is a working
+	// default.
 
 	// Cache groups the consensus-cache knobs.
 	Cache CacheConfig
@@ -149,183 +143,11 @@ type Config struct {
 	// Trust groups resolver trust-scoring knobs.
 	Trust TrustConfig
 	// Chaos groups attack-injection knobs: the payload adversary plus
-	// the network-fault layer (Chaos.Net, which has no flat aliases).
+	// the network-fault layer (Chaos.Net).
 	Chaos ChaosConfig
 	// Serve groups the serving-plane knobs (frontend sizing, encrypted
 	// listeners, TLS identity, admin server).
 	Serve ServeConfig
-
-	// CacheSize bounds the TTL-aware consensus cache (entries). 0 uses
-	// the default capacity; negative disables caching, restoring the
-	// seed's fan-out-per-call behaviour.
-	//
-	// Deprecated: use Cache.Size.
-	CacheSize int
-	// CacheShards splits the consensus cache into this many lock domains
-	// (rounded up to a power of two) so cached lookups scale with cores.
-	// 0 sizes automatically from GOMAXPROCS; 1 forces a single shard
-	// with strict global LRU order.
-	//
-	// Deprecated: use Cache.Shards.
-	CacheShards int
-	// StaleWhileRevalidate, when positive, serves an expired pool for up
-	// to this long past its TTL while a background refresh runs. Zero
-	// disables stale serving (unless the deprecated MaxStale is set).
-	//
-	// Deprecated: use Cache.StaleWhileRevalidate.
-	StaleWhileRevalidate time.Duration
-	// MaxStale is the oldest name for Cache.StaleWhileRevalidate, kept
-	// for compatibility; it loses to both newer spellings.
-	//
-	// Deprecated: use Cache.StaleWhileRevalidate.
-	MaxStale time.Duration
-	// RefreshAhead, when in (0, 1], turns on the always-warm pipeline: a
-	// cached pool that has lived this fraction of its TTL (0.8 = at 80%
-	// of lifetime) is regenerated in the background before it expires,
-	// so hot domains never pay an inline Algorithm 1 fan-out after
-	// warmup. 0 keeps the miss-driven behaviour.
-	//
-	// Deprecated: use Refresh.Ahead.
-	RefreshAhead float64
-	// RefreshMinHits is the refresh-ahead popularity threshold: only
-	// pools with at least this many cache hits since their last
-	// background refresh stay on the always-warm pipeline; keys nobody
-	// read in the last TTL window expire and regenerate on demand.
-	// 0 uses the default of 1 — refreshing unread pools forever is a
-	// resolver-load footgun the library will not default into.
-	//
-	// Deprecated: use Refresh.MinHits.
-	RefreshMinHits uint64
-	// HedgeDelay is how long to wait for a straggling resolver before
-	// firing a backup attempt at the same resolver. Positive = fixed;
-	// 0 = adaptive (2× the resolver's EWMA RTT, clamped).
-	//
-	// Deprecated: use Health.HedgeDelay.
-	HedgeDelay time.Duration
-	// DisableHedging turns straggler hedging off entirely.
-	//
-	// Deprecated: use Health.DisableHedging.
-	DisableHedging bool
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// resolver's circuit breaker (fail fast instead of burning a network
-	// attempt). 0 uses the default (3); negative disables the breaker.
-	//
-	// Deprecated: use Health.BreakerThreshold.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects attempts before
-	// admitting a probe (default 10s).
-	//
-	// Deprecated: use Health.BreakerCooldown.
-	BreakerCooldown time.Duration
-	// TrustWindow is how many recent pool generations feed each
-	// resolver's trust score: per generation a resolver is judged on
-	// answer-length conduct (inflation/shortfall against the consensus
-	// reference), bogus-prefix membership, overlap with the other
-	// resolvers' answers, and majority-vote survival. 0 uses the default
-	// window (16); negative disables trust tracking. Scoring runs only
-	// when a pool is generated — cached lookups never pay for it.
-	//
-	// Deprecated: use Trust.Window.
-	TrustWindow int
-	// TrustMinScore, when in (0, 1], enforces trust: a resolver whose
-	// windowed score falls below it has its answers quarantined from
-	// pool generation (so it can neither inflate the pool nor drag the
-	// truncation length to zero) and stops receiving straggler hedges —
-	// for as long as the remaining trusted resolvers keep a strict
-	// majority. 0 keeps scoring observational (metrics/trustz only).
-	// The recommended enforcing value is 0.5.
-	//
-	// Deprecated: use Trust.MinScore.
-	TrustMinScore float64
-	// ChaosPayload, when non-empty, switches the client into chaos mode:
-	// an attack.Forger is interposed at the engine's transport seam so
-	// the full stack — cache, coalescing, hedging, refresh-ahead, trust
-	// scoring — runs attacked. Values: "replace" (forge attacker
-	// addresses matching the genuine answer length), "inflate" (the
-	// response-inflation attack), "empty" (the truncation-DoS answer).
-	// Chaos mode is a resilience-testing tool; never enable it on a
-	// production resolver path.
-	//
-	// Deprecated: use Chaos.Payload.
-	ChaosPayload string
-	// ChaosResolvers selects which resolvers (indices into Resolvers)
-	// the chaos adversary compromises. Empty means resolver 0 only — a
-	// minority under the recommended three-resolver setup, so the
-	// paper's bound applies.
-	//
-	// Deprecated: use Chaos.Resolvers.
-	ChaosResolvers []int
-	// ChaosProb is the per-exchange probability that a targeted exchange
-	// is forged (the off-path race model). Values outside (0, 1] mean
-	// "always" (the fully compromised resolver model).
-	//
-	// Deprecated: use Chaos.Prob.
-	ChaosProb float64
-	// ChaosSeed drives chaos randomness for deterministic runs (0 uses
-	// seed 1).
-	//
-	// Deprecated: use Chaos.Seed.
-	ChaosSeed int64
-	// UDPWorkers bounds the frontend's UDP worker pool (Serve only;
-	// 0 sizes from GOMAXPROCS). Workers only serve the slow path —
-	// queries the wire-format answer cache cannot satisfy; cached hits
-	// are answered inline by the reader loop.
-	//
-	// Deprecated: use Serve.UDPWorkers.
-	UDPWorkers int
-	// UDPBatch is how many UDP datagrams the frontend moves per syscall
-	// (Serve only; 0 uses the default of 16). On Linux this drives
-	// recvmmsg/sendmmsg batching; 1 — or any other platform — selects
-	// the portable one-datagram-per-syscall path with identical
-	// semantics.
-	//
-	// Deprecated: use Serve.UDPBatch.
-	UDPBatch int
-	// MaxTCPConns bounds the frontend's concurrently served TCP
-	// connections (Serve only; 0 uses the default of 256). DoT shares
-	// the bound (each stream listener gets its own budget).
-	//
-	// Deprecated: use Serve.MaxTCPConns.
-	MaxTCPConns int
-	// DoHAddr, when non-empty, makes Serve additionally answer DNS over
-	// HTTPS (RFC 8484, HTTP/2) on this address at /dns-query — the same
-	// authenticated transport the engine queries its upstream resolvers
-	// with, so the serving hop is no longer the one plaintext link in
-	// the chain. Requires TLSCert/TLSKey or TLSSelfSigned.
-	//
-	// Deprecated: use Serve.DoHAddr.
-	DoHAddr string
-	// DoTAddr, when non-empty, makes Serve additionally answer DNS over
-	// TLS (RFC 7858) on this address, sharing the TCP loop's connection
-	// bound and idle-timeout semantics. Requires TLSCert/TLSKey or
-	// TLSSelfSigned.
-	//
-	// Deprecated: use Serve.DoTAddr.
-	DoTAddr string
-	// TLSCert and TLSKey are PEM file paths carrying the encrypted
-	// listeners' server certificate chain and private key.
-	//
-	// Deprecated: use Serve.TLSCert and Serve.TLSKey.
-	TLSCert string
-	// Deprecated: use Serve.TLSKey.
-	TLSKey string
-	// TLSSelfSigned generates an ephemeral self-signed server identity
-	// (built on internal/testpki) instead of loading TLSCert/TLSKey —
-	// the dev mode behind dohpoold -tls-self-signed. The generated CA
-	// certificate is available from Client.ServingCAPEM so clients can
-	// be handed the trust anchor. Never a deployment mode.
-	//
-	// Deprecated: use Serve.TLSSelfSigned.
-	TLSSelfSigned bool
-	// AdminAddr, when non-empty, starts the observability HTTP server on
-	// that address (e.g. "127.0.0.1:8053", ":0" for ephemeral): /metrics
-	// serves Prometheus exposition for the engine, cache, resolver health
-	// and frontend; /healthz is breaker-aware readiness; /poolz dumps the
-	// cached pools. Bind it to loopback or a management network — it is
-	// an operator surface, not a DNS one.
-	//
-	// Deprecated: use Serve.AdminAddr.
-	AdminAddr string
 }
 
 // Pool is the outcome of one Algorithm 1 run.
@@ -361,7 +183,7 @@ type Client struct {
 	eng   *core.Engine
 	cfg   Config
 	reg   *metrics.Registry
-	admin *admin.Server // nil unless Config.AdminAddr was set
+	admin *admin.Server // nil unless Config.Serve.AdminAddr was set
 
 	serveTLS  *tls.Config // server identity for DoT/DoH listeners
 	servingCA []byte      // CA PEM of the self-signed dev identity
@@ -417,17 +239,14 @@ var (
 	// truncation produced an empty pool (a denial of service, not a
 	// poisoning — the trade-off of the paper's footnote 2).
 	ErrEmptyAnswer = core.ErrEmptyAnswer
-	// ErrAdminListen reports that Config.AdminAddr could not be bound;
+	// ErrAdminListen reports that Config.Serve.AdminAddr could not be bound;
 	// callers that treat the admin server as best-effort can match it
-	// and retry with AdminAddr cleared.
+	// and retry with Serve.AdminAddr cleared.
 	ErrAdminListen = errors.New("admin listen failed")
 )
 
-// New validates cfg and builds a Client. Deprecated flat fields and
-// their grouped counterparts are folded together first (grouped wins
-// when both are set), so either spelling configures the same client.
+// New validates cfg and builds a Client.
 func New(cfg Config) (*Client, error) {
-	cfg = cfg.resolved()
 	opts := []doh.ClientOption{}
 	if cfg.TLSConfig != nil {
 		opts = append(opts, doh.WithTLSConfig(cfg.TLSConfig))
@@ -487,18 +306,18 @@ func New(cfg Config) (*Client, error) {
 		DualStack:    core.DualStackPolicy(cfg.DualStack),
 		QueryTimeout: cfg.QueryTimeout,
 	}, core.EngineConfig{
-		CacheSize:        cfg.Cache.Size,
-		CacheShards:      cfg.Cache.Shards,
-		MaxStale:         cfg.Cache.StaleWhileRevalidate,
-		RefreshAhead:     cfg.Refresh.Ahead,
-		RefreshMinHits:   minHits,
-		HedgeDelay:       cfg.Health.HedgeDelay,
-		DisableHedging:   cfg.Health.DisableHedging,
-		BreakerThreshold: cfg.Health.BreakerThreshold,
-		BreakerCooldown:  cfg.Health.BreakerCooldown,
-		TrustWindow:      cfg.Trust.Window,
-		TrustMinScore:    cfg.Trust.MinScore,
-		Metrics:          reg,
+		CacheSize:            cfg.Cache.Size,
+		CacheShards:          cfg.Cache.Shards,
+		StaleWhileRevalidate: cfg.Cache.StaleWhileRevalidate,
+		RefreshAhead:         cfg.Refresh.Ahead,
+		RefreshMinHits:       minHits,
+		HedgeDelay:           cfg.Health.HedgeDelay,
+		DisableHedging:       cfg.Health.DisableHedging,
+		BreakerThreshold:     cfg.Health.BreakerThreshold,
+		BreakerCooldown:      cfg.Health.BreakerCooldown,
+		TrustWindow:          cfg.Trust.Window,
+		TrustMinScore:        cfg.Trust.MinScore,
+		Metrics:              reg,
 	})
 	if err != nil {
 		return nil, err
@@ -533,7 +352,7 @@ func (c *Client) buildServerTLS() error {
 		if c.cfg.Serve.TLSCert != "" || c.cfg.Serve.TLSKey != "" {
 			// Silently preferring one identity source over the other
 			// would serve a certificate the operator did not choose.
-			return errors.New("TLSSelfSigned conflicts with TLSCert/TLSKey — configure one identity source")
+			return errors.New("Serve.TLSSelfSigned conflicts with Serve.TLSCert/TLSKey — configure one identity source")
 		}
 		tlsCfg, caPEM, err := testpki.SelfSignedServer()
 		if err != nil {
@@ -543,14 +362,14 @@ func (c *Client) buildServerTLS() error {
 	case c.cfg.Serve.TLSCert != "" && c.cfg.Serve.TLSKey != "":
 		cert, err := tls.LoadX509KeyPair(c.cfg.Serve.TLSCert, c.cfg.Serve.TLSKey)
 		if err != nil {
-			return fmt.Errorf("load TLSCert/TLSKey: %w", err)
+			return fmt.Errorf("load Serve.TLSCert/TLSKey: %w", err)
 		}
 		c.serveTLS = &tls.Config{
 			Certificates: []tls.Certificate{cert},
 			MinVersion:   tls.VersionTLS12,
 		}
 	default:
-		return errors.New("DoHAddr/DoTAddr require TLSCert+TLSKey or TLSSelfSigned")
+		return errors.New("Serve.DoHAddr/DoTAddr require Serve.TLSCert+TLSKey or Serve.TLSSelfSigned")
 	}
 	return nil
 }
@@ -566,7 +385,7 @@ func (c *Client) listeners() []core.ListenerInfo {
 }
 
 // ServingCAPEM returns the PEM-encoded CA certificate behind the
-// Config.TLSSelfSigned dev identity (nil otherwise) — hand it to
+// Config.Serve.TLSSelfSigned dev identity (nil otherwise) — hand it to
 // clients (e.g. dohquery -ca) so they can authenticate the encrypted
 // listeners.
 func (c *Client) ServingCAPEM() []byte {
@@ -586,7 +405,7 @@ func (c *Client) Close() error {
 }
 
 // AdminAddr returns the observability server's host:port, or "" when
-// Config.AdminAddr was empty. Useful with an ephemeral ":0" address.
+// Config.Serve.AdminAddr was empty. Useful with an ephemeral ":0" address.
 func (c *Client) AdminAddr() string {
 	if c.admin == nil {
 		return ""
@@ -641,7 +460,7 @@ type ResolverTrust struct {
 }
 
 // ResolverTrust reports a per-resolver trust snapshot (nil when
-// Config.TrustWindow is negative).
+// Config.Trust.Window is negative).
 func (c *Client) ResolverTrust() []ResolverTrust {
 	snap := c.eng.Trust()
 	if snap == nil {
@@ -787,7 +606,7 @@ func (c *Client) LookupPoolDualStack(ctx context.Context, domain string) (*Pool,
 
 // Serve starts the standard-compatible DNS front-end on addr
 // (e.g. "127.0.0.1:5353"), UDP and TCP (RFC 7766) on the same port.
-// With Config.DoHAddr / DoTAddr set, the same backend additionally
+// With Config.Serve.DoHAddr / DoTAddr set, the same backend additionally
 // serves RFC 8484 DNS-over-HTTPS and RFC 7858 DNS-over-TLS. Every
 // A/AAAA query on every transport is answered from the same consensus
 // engine — cached within TTL, coalesced on concurrent misses, so a

@@ -312,13 +312,13 @@ func TestLookupPoolCachedWithinTTL(t *testing.T) {
 	}
 }
 
-// TestCacheDisabledConfig verifies CacheSize < 0 restores per-call
+// TestCacheDisabledConfig verifies Cache.Size < 0 restores per-call
 // fan-out at the public API.
 func TestCacheDisabledConfig(t *testing.T) {
 	rt := &countingDoHTransport{ttl: 300, addrs: []netip.Addr{netip.MustParseAddr("192.0.2.1")}}
 	client, err := New(Config{
 		Resolvers:  []Resolver{{Name: "r0", URL: "https://r0.test/dns-query"}},
-		CacheSize:  -1,
+		Cache:      CacheConfig{Size: -1},
 		HTTPClient: &http.Client{Transport: rt},
 	})
 	if err != nil {
@@ -359,9 +359,8 @@ func TestBuildInfoGaugeRegistered(t *testing.T) {
 // and an out-of-range fraction is rejected at construction.
 func TestRefreshAheadThroughFacade(t *testing.T) {
 	tb, client := startTB(t, testbed.Config{}, Config{
-		RefreshAhead:   0.8,
-		RefreshMinHits: 1,
-		CacheShards:    4,
+		Refresh: RefreshConfig{Ahead: 0.8, MinHits: 1},
+		Cache:   CacheConfig{Shards: 4},
 	})
 	defer client.Close()
 	ctx := testCtx(t)
@@ -373,10 +372,10 @@ func TestRefreshAheadThroughFacade(t *testing.T) {
 		t.Fatal("empty pool")
 	}
 	if _, err := New(Config{
-		Resolvers:    []Resolver{{Name: "r", URL: "https://r.test/dns-query"}},
-		RefreshAhead: 1.5,
+		Resolvers: []Resolver{{Name: "r", URL: "https://r.test/dns-query"}},
+		Refresh:   RefreshConfig{Ahead: 1.5},
 	}); err == nil {
-		t.Error("RefreshAhead > 1 accepted")
+		t.Error("Refresh.Ahead > 1 accepted")
 	}
 }
 
@@ -405,12 +404,12 @@ func TestPaddingThroughFacade(t *testing.T) {
 }
 
 // TestAdminServerEndToEnd is the observability acceptance criterion: a
-// Client with AdminAddr set serves Prometheus metrics covering engine
+// Client with Serve.AdminAddr set serves Prometheus metrics covering engine
 // lookups, cache effectiveness, resolver health and frontend traffic,
 // plus breaker-aware readiness and the cached-pool dump, all while real
 // DNS queries flow through the frontend.
 func TestAdminServerEndToEnd(t *testing.T) {
-	tb, client := startTB(t, testbed.Config{}, Config{AdminAddr: "127.0.0.1:0"})
+	tb, client := startTB(t, testbed.Config{}, Config{Serve: ServeConfig{AdminAddr: "127.0.0.1:0"}})
 	t.Cleanup(func() { _ = client.Close() })
 	addr := client.AdminAddr()
 	if addr == "" {
@@ -532,13 +531,13 @@ func TestAdminServerEndToEnd(t *testing.T) {
 // and the admin endpoints must report the listener state.
 func TestEncryptedServingEndToEnd(t *testing.T) {
 	tb, client := startTB(t, testbed.Config{}, Config{
-		ChaosPayload:   "replace",
-		ChaosResolvers: []int{0},
-		ChaosProb:      1,
-		DoHAddr:        "127.0.0.1:0",
-		DoTAddr:        "127.0.0.1:0",
-		TLSSelfSigned:  true,
-		AdminAddr:      "127.0.0.1:0",
+		Chaos: ChaosConfig{Payload: "replace", Resolvers: []int{0}, Prob: 1},
+		Serve: ServeConfig{
+			DoHAddr:       "127.0.0.1:0",
+			DoTAddr:       "127.0.0.1:0",
+			TLSSelfSigned: true,
+			AdminAddr:     "127.0.0.1:0",
+		},
 	})
 	t.Cleanup(func() { _ = client.Close() })
 
@@ -649,7 +648,7 @@ func TestAdminListenFailureIsMatchable(t *testing.T) {
 	defer ln.Close()
 	_, err = New(Config{
 		Resolvers: []Resolver{{Name: "r", URL: "https://r.test/dns-query"}},
-		AdminAddr: ln.Addr().String(),
+		Serve:     ServeConfig{AdminAddr: ln.Addr().String()},
 	})
 	if !errors.Is(err, ErrAdminListen) {
 		t.Fatalf("err = %v, want ErrAdminListen", err)

@@ -117,7 +117,7 @@ func run() error {
 		fmt.Printf("  %-24s ttl=%.0fs hits=%d refreshes=%d last_refresh=%s\n",
 			p.Key, p.TTLSeconds, p.Hits, p.Refreshes, p.LastRefresh)
 	}
-	fmt.Println("\nwith RefreshAhead set, this pool is regenerated in the")
+	fmt.Println("\nwith Refresh.Ahead set, this pool is regenerated in the")
 	fmt.Println("background at 80% of its TTL — a long-running deployment")
 	fmt.Println("never pays an inline fan-out for it again.")
 	return nil

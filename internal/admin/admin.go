@@ -58,8 +58,9 @@ type Config struct {
 // Server is a running admin HTTP server. Create with Start, stop with
 // Close.
 type Server struct {
-	ln  net.Listener
-	srv *http.Server
+	ln   net.Listener
+	srv  *http.Server
+	done chan struct{} // closed when the Serve goroutine returns
 }
 
 // Start listens on addr (e.g. "127.0.0.1:8053", ":0" for ephemeral) and
@@ -69,14 +70,15 @@ func Start(addr string, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("admin listen: %w", err)
 	}
-	s := &Server{ln: ln}
+	s := &Server{ln: ln, done: make(chan struct{})}
 	s.srv = &http.Server{
 		Handler:           Handler(cfg),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
-	// The Serve loop has no Done/close to observe statically: Close tears
-	// down the listener, which makes Serve return immediately.
-	go func() { _ = s.srv.Serve(ln) }() // dohlint:allow(golifecycle) — joined via srv.Close unblocking Serve
+	go func() {
+		defer close(s.done)
+		_ = s.srv.Serve(ln)
+	}()
 	return s, nil
 }
 
@@ -84,9 +86,11 @@ func Start(addr string, cfg Config) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server immediately (scrapes are short-lived; there is
-// nothing worth draining).
+// nothing worth draining) and returns once the Serve loop has exited.
 func (s *Server) Close() error {
-	return s.srv.Close()
+	err := s.srv.Close()
+	<-s.done
+	return err
 }
 
 // Handler builds the admin endpoint mux — exported so embedding

@@ -436,3 +436,23 @@ func TestPoolzCarriesAttackerEntries(t *testing.T) {
 		t.Errorf("attacker_entries = %d, want 2", pr.Pools[0].AttackerEntries)
 	}
 }
+
+// TestCloseJoinsServeLoop asserts Close returns only after the Serve
+// goroutine has exited, so a closed server leaves nothing running.
+func TestCloseJoinsServeLoop(t *testing.T) {
+	srv, err := Start("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := get(t, "http://"+srv.Addr()+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz = %d before Close", code)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-srv.done:
+	default:
+		t.Fatal("Close returned before the Serve goroutine exited")
+	}
+}

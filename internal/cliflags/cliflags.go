@@ -9,8 +9,7 @@
 //
 // Each Register* function declares one group's flags on a
 // flag.FlagSet and returns a holder whose Apply method writes the
-// parsed values into the *grouped* fields of a dohpool.Config — never
-// the deprecated flat aliases.
+// parsed values into the matching sub-struct of a dohpool.Config.
 package cliflags
 
 import (
@@ -67,34 +66,26 @@ func (c *Consensus) Apply(cfg *dohpool.Config) {
 
 // Cache holds the dohpool.CacheConfig flags.
 type Cache struct {
-	Size     *int
-	Shards   *int
-	SWR      *time.Duration
-	MaxStale *time.Duration
+	Size   *int
+	Shards *int
+	SWR    *time.Duration
 }
 
-// RegisterCache declares -cache-size, -cache-shards,
-// -stale-while-revalidate and its deprecated alias -max-stale.
+// RegisterCache declares -cache-size, -cache-shards and
+// -stale-while-revalidate.
 func RegisterCache(fs *flag.FlagSet) *Cache {
 	return &Cache{
-		Size:     fs.Int("cache-size", 0, "consensus cache capacity in entries (0 = default, -1 = disable)"),
-		Shards:   fs.Int("cache-shards", 0, "consensus cache lock shards, rounded up to a power of two (0 = from GOMAXPROCS)"),
-		SWR:      fs.Duration("stale-while-revalidate", 0, "serve expired pools up to this long past TTL while refreshing (wins over -max-stale)"),
-		MaxStale: fs.Duration("max-stale", 0, "deprecated alias for -stale-while-revalidate"),
+		Size:   fs.Int("cache-size", 0, "consensus cache capacity in entries (0 = default, -1 = disable)"),
+		Shards: fs.Int("cache-shards", 0, "consensus cache lock shards, rounded up to a power of two (0 = from GOMAXPROCS)"),
+		SWR:    fs.Duration("stale-while-revalidate", 0, "serve expired pools up to this long past TTL while refreshing"),
 	}
 }
 
-// Apply writes the parsed values into cfg.Cache, resolving the
-// -stale-while-revalidate / -max-stale alias pair here so the library
-// receives one value through the grouped field.
+// Apply writes the parsed values into cfg.Cache.
 func (c *Cache) Apply(cfg *dohpool.Config) {
 	cfg.Cache.Size = *c.Size
 	cfg.Cache.Shards = *c.Shards
-	swr := *c.SWR
-	if swr == 0 {
-		swr = *c.MaxStale
-	}
-	cfg.Cache.StaleWhileRevalidate = swr
+	cfg.Cache.StaleWhileRevalidate = *c.SWR
 }
 
 // Refresh holds the dohpool.RefreshConfig flags.

@@ -187,32 +187,40 @@ func TestApplyWritesGroupedFields(t *testing.T) {
 	if cfg.Serve != wantServe {
 		t.Errorf("Serve = %+v, want %+v", cfg.Serve, wantServe)
 	}
+	// Every flag above is set to a non-zero value, so a grouped leaf
+	// still at zero has a flag that Apply never writes to the config.
+	cv := reflect.ValueOf(cfg)
+	for i := 0; i < cv.NumField(); i++ {
+		if cv.Field(i).Kind() == reflect.Struct {
+			for _, leaf := range zeroLeaves(cv.Type().Field(i).Name, cv.Field(i)) {
+				t.Errorf("%s is zero after applying every flag: its flag has no Apply assignment", leaf)
+			}
+		}
+	}
 }
 
-func TestApplyMaxStaleAliasAndDefaults(t *testing.T) {
-	_, set := newSet(t, "-max-stale=30s")
-	var cfg dohpool.Config
-	if err := set.Apply(&cfg); err != nil {
-		t.Fatal(err)
+// zeroLeaves returns the dotted paths of v's non-struct fields that hold
+// their zero value, descending into nested structs.
+func zeroLeaves(path string, v reflect.Value) []string {
+	if v.Kind() != reflect.Struct {
+		if v.IsZero() {
+			return []string{path}
+		}
+		return nil
 	}
-	if cfg.Cache.StaleWhileRevalidate != 30*time.Second {
-		t.Errorf("-max-stale alone: SWR = %v, want 30s", cfg.Cache.StaleWhileRevalidate)
+	var out []string
+	for i := 0; i < v.NumField(); i++ {
+		out = append(out, zeroLeaves(path+"."+v.Type().Field(i).Name, v.Field(i))...)
 	}
+	return out
+}
 
-	_, set = newSet(t, "-max-stale=30s", "-stale-while-revalidate=10s")
-	cfg = dohpool.Config{}
-	if err := set.Apply(&cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Cache.StaleWhileRevalidate != 10*time.Second {
-		t.Errorf("both staleness flags: SWR = %v, want the non-deprecated 10s", cfg.Cache.StaleWhileRevalidate)
-	}
-
+func TestApplyDefaults(t *testing.T) {
 	// Defaults must leave the zero Config zero so the library's own
 	// defaulting still decides (except QueryTimeout and MinHits, whose
 	// flag defaults are the documented daemon defaults).
-	_, set = newSet(t)
-	cfg = dohpool.Config{}
+	_, set := newSet(t)
+	var cfg dohpool.Config
 	if err := set.Apply(&cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -34,10 +34,10 @@ type EngineConfig struct {
 	// automatically from GOMAXPROCS; 1 forces a single shard with strict
 	// global LRU order.
 	CacheShards int
-	// MaxStale, when positive, serves an expired pool for up to this long
-	// past its TTL while a background refresh runs (stale-while-
-	// revalidate). Zero disables stale serving.
-	MaxStale time.Duration
+	// StaleWhileRevalidate, when positive, serves an expired pool for up
+	// to this long past its TTL while a background refresh runs. Zero
+	// disables stale serving.
+	StaleWhileRevalidate time.Duration
 	// RefreshAhead, when in (0, 1], turns the engine from reactive to
 	// always-warm: a background refresher re-runs Algorithm 1 for a
 	// cached pool once it has lived RefreshAhead of its TTL (0.8 = at
@@ -279,7 +279,7 @@ func (e *Engine) RefreshFailures() uint64 {
 }
 
 // StaleServes returns how many lookups were answered from an expired
-// entry inside the MaxStale window.
+// entry inside the StaleWhileRevalidate window.
 func (e *Engine) StaleServes() uint64 { return e.staleServes.Load() }
 
 // CacheStats reports pool-cache effectiveness (zero value when caching is
@@ -382,7 +382,7 @@ func (e *Engine) EvictExpired() int {
 	if e.cache == nil {
 		return 0
 	}
-	return e.cache.EvictExpired(e.cfg.MaxStale)
+	return e.cache.EvictExpired(e.cfg.StaleWhileRevalidate)
 }
 
 // Close stops the refresh-ahead loop and waits for in-flight background
@@ -426,7 +426,7 @@ func (e *Engine) LookupDualStack(ctx context.Context, domain string) (*Pool, err
 // falls through to a coalesced inline generation.
 func (e *Engine) lookup(ctx context.Context, key string, spec wireSpec, run func(context.Context) (*Pool, error)) (*Pool, error) {
 	if e.cache != nil {
-		if en, age, stale, ok := e.cache.GetStale(key, e.cfg.MaxStale); ok {
+		if en, age, stale, ok := e.cache.GetStale(key, e.cfg.StaleWhileRevalidate); ok {
 			if !stale {
 				e.inst.hit.Inc()
 				return snapshotPool(en.pool, age), nil

@@ -230,7 +230,7 @@ func TestEngineCoalescing(t *testing.T) {
 	}
 }
 
-// TestEngineStaleWhileRevalidate serves an expired pool inside MaxStale
+// TestEngineStaleWhileRevalidate serves an expired pool inside StaleWhileRevalidate
 // and refreshes in the background.
 func TestEngineStaleWhileRevalidate(t *testing.T) {
 	var mu sync.Mutex
@@ -238,7 +238,7 @@ func TestEngineStaleWhileRevalidate(t *testing.T) {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 
 	q := newCountingQuerier(10, threeResolverLists())
-	eng := engineUnderTest(t, q, EngineConfig{Clock: clock, MaxStale: time.Minute})
+	eng := engineUnderTest(t, q, EngineConfig{Clock: clock, StaleWhileRevalidate: time.Minute})
 	ctx := context.Background()
 
 	if _, err := eng.Lookup(ctx, "pool.test.", dnswire.TypeA); err != nil {

@@ -297,7 +297,7 @@ func TestWireFastPathInvalidationOnRefresh(t *testing.T) {
 	}
 	q := &swapQuerier{lists: oldAddrs}
 	clk := newTestClock()
-	eng, fe := wireEngineUnderTest(t, q, clk, EngineConfig{MaxStale: time.Hour})
+	eng, fe := wireEngineUnderTest(t, q, clk, EngineConfig{StaleWhileRevalidate: time.Hour})
 	warm := rawQueryBytes(t, 1, "pool.test.", dnswire.TypeA, 0, true, false)
 	rawUDPExchange(t, fe.Addr(), warm)
 	oldEntry, _, ok := eng.WireLookup([]byte("pool.test.|1"))

@@ -290,7 +290,7 @@ func TestRefresherConcurrencyCap(t *testing.T) {
 func TestRefresherUncacheableRefreshBacksOff(t *testing.T) {
 	clk := newTestClock()
 	q := newCountingQuerier(30, threeResolverLists())
-	eng := refreshEngine(t, q, clk, EngineConfig{RefreshMinHits: 0, MaxStale: 5 * time.Minute})
+	eng := refreshEngine(t, q, clk, EngineConfig{RefreshMinHits: 0, StaleWhileRevalidate: 5 * time.Minute})
 	ctx := context.Background()
 
 	if _, err := eng.Lookup(ctx, "pool.test.", dnswire.TypeA); err != nil {
@@ -334,9 +334,9 @@ func TestRefresherQuorumLostKeepsStaleAndBacksOff(t *testing.T) {
 	counting := newCountingQuerier(30, threeResolverLists())
 	q := &hookQuerier{inner: counting}
 	eng := refreshEngine(t, q, clk, EngineConfig{
-		RefreshMinHits: 0,
-		RefreshBackoff: 10 * time.Second,
-		MaxStale:       5 * time.Minute,
+		RefreshMinHits:       0,
+		RefreshBackoff:       10 * time.Second,
+		StaleWhileRevalidate: 5 * time.Minute,
 	})
 	ctx := context.Background()
 
@@ -377,7 +377,7 @@ func TestRefresherQuorumLostKeepsStaleAndBacksOff(t *testing.T) {
 		t.Fatalf("scan inside doubled backoff launched %d, want 0", launched)
 	}
 
-	// The pool is now past its TTL but inside MaxStale: lookups still
+	// The pool is now past its TTL but inside StaleWhileRevalidate: lookups still
 	// answer (stale-while-revalidate), with no inline generation — and
 	// the stale-triggered revalidation honours the refresher's backoff
 	// instead of re-fanning-out to the broken resolvers on every hit.

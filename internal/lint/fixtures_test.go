@@ -79,7 +79,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"noalloc", "metricsname", "configalias", "cliflags", "buildtag", "lockcheck", "atomiccheck", "golifecycle"} {
+	for _, name := range []string{"noalloc", "metricsname", "buildtag", "lockcheck", "atomiccheck", "golifecycle"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", name)
 			pkg, err := LoadDir(moduleRoot, dir)

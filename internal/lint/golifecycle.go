@@ -27,9 +27,8 @@ import (
 // reported too: an unresolvable spawn is unauditable by humans for the
 // same reason.
 //
-// Genuine fire-and-forget goroutines — bounded hedged probes, an
-// http.Server.Serve loop whose Close tears down the listener — are
-// waived line-by-line with a scoped allow comment that documents why
+// Genuine fire-and-forget goroutines, such as bounded hedged probes,
+// are waived line-by-line with a scoped allow comment that documents why
 // the goroutine cannot outlive anything that matters.
 var GoLifecycle = &Analyzer{
 	Name: "golifecycle",

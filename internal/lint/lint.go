@@ -1,7 +1,7 @@
 // Package lint is dohpool's in-tree static-analysis suite: a small,
 // dependency-free analyzer framework in the shape of
 // golang.org/x/tools/go/analysis (which this module cannot depend on),
-// plus the seven project-specific analyzers that prove the serving fast
+// plus the six project-specific analyzers that prove the serving fast
 // path's invariants at compile time:
 //
 //   - noalloc: functions annotated //dohlint:noalloc must not contain
@@ -12,9 +12,6 @@
 //   - metricsname: metric registrations use compile-time-constant names
 //     matching dohpool_[a-z0-9_]+ with conventional type suffixes, and
 //     never happen inside a //dohlint:noalloc hot path.
-//   - configalias: every deprecated flat Config field keeps a working
-//     grouped counterpart folded in resolved(), and every grouped field
-//     stays reachable from the shared internal/cliflags registry.
 //   - buildtag: files pinning syscall numbers carry explicit //go:build
 //     constraints, and no file references a platform-constrained name
 //     on a platform where nothing declares it.
@@ -63,7 +60,7 @@ type Analyzer struct {
 
 // All returns the full dohlint analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{NoAlloc, MetricsName, ConfigAlias, BuildTag, LockCheck, AtomicCheck, GoLifecycle}
+	return []*Analyzer{NoAlloc, MetricsName, BuildTag, LockCheck, AtomicCheck, GoLifecycle}
 }
 
 // Diagnostic is one finding at a resolved source position.

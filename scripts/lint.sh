@@ -6,7 +6,7 @@
 #   3. staticcheck, when installed (CI always installs it; locally the
 #      sweep degrades gracefully rather than requiring a download),
 #   4. dohlint, the project analyzer suite (noalloc, metricsname,
-#      configalias, buildtag, lockcheck, atomiccheck, golifecycle)
+#      buildtag, lockcheck, atomiccheck, golifecycle)
 #      driven through go vet's vettool protocol,
 #   5. the dohlint escape gate: recompile every package containing
 #      //dohlint:noalloc functions with -m and fail on any heap escape
